@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service experiments experiments-full clean
+.PHONY: install lint test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perfbench experiments experiments-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -51,6 +51,10 @@ bench-full:
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_load.py -m smoke
 	$(PYTHON) -m pytest tests/test_service.py tests/test_service_equivalence.py
+
+perfbench:
+	$(PYTHON) perfbench/run.py --workload local-mixed --seed 1 --seconds 40
+	$(PYTHON) perfbench/run.py --workload routed-mixed --seed 1 --seconds 40
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all --charts

@@ -50,7 +50,7 @@ def split_dim_of(label: str, dims: int) -> int:
 class LeafBucket:
     """One leaf of the space kd-tree, as stored in the DHT."""
 
-    __slots__ = ("label", "dims", "_store", "_region")
+    __slots__ = ("label", "dims", "_store", "_region", "_wire")
 
     def __init__(
         self,
@@ -66,6 +66,9 @@ class LeafBucket:
         self.label = label
         self.dims = dims
         self._region: Region | None = None
+        #: (store, store generation, label, codec size) of the last
+        #: :meth:`encoded_wire_size` answer.
+        self._wire: tuple[RecordStore, int, str, int] | None = None
         if isinstance(records, RecordStore):
             self._store = records
         elif isinstance(store, RecordStore):
@@ -149,10 +152,26 @@ class LeafBucket:
 
     def encoded_wire_size(self) -> int:
         """Exact codec byte size — the unified byte-accounting hook
-        (:func:`repro.core.codec.payload_wire_size`)."""
+        (:func:`repro.core.codec.payload_wire_size`).
+
+        Memoized per store generation: one message is priced twice
+        (whole message, then its data-plane share), and pricing pickles
+        every payload value.
+        """
+        store = self._store
+        wire = self._wire
+        if (
+            wire is not None
+            and wire[0] is store
+            and wire[1] == store.generation
+            and wire[2] == self.label
+        ):
+            return wire[3]
         from repro.core.codec import encoded_bucket_size
 
-        return encoded_bucket_size(self)
+        size = encoded_bucket_size(self)
+        self._wire = (store, store.generation, self.label, size)
+        return size
 
     def __reduce__(self):
         # Pickled buckets (service frames, churn handoff, copies)

@@ -80,11 +80,52 @@ class ChordNode:
         self.ref = _NodeRef(self.ident, name)
         self.network = network
         self.store = store if store is not None else PeerStore(encoded=encoded)
-        self.successors: list[_NodeRef] = [self.ref]
+        self._successors: list[_NodeRef] = [self.ref]
         self.predecessor: _NodeRef | None = None
+        #: Read-only outside this class: write slots via :meth:`set_finger`.
         self.fingers: list[_NodeRef | None] = [None] * ID_BITS
         self._next_finger = 0
+        #: (distances, refs) of every distinct finger and successor,
+        #: sorted by clockwise distance from self; ``None`` until the
+        #: next :meth:`rpc_closest_preceding` rebuilds it.
+        self._view: tuple[list[int], list[_NodeRef]] | None = None
         network.register(name, self)
+
+    # ------------------------------------------------------------------
+    # Routing state (every write drops the cached routing view)
+    # ------------------------------------------------------------------
+
+    @property
+    def successors(self) -> list[_NodeRef]:
+        """The successor list, nearest first (assign, never mutate)."""
+        return self._successors
+
+    @successors.setter
+    def successors(self, refs: list[_NodeRef]) -> None:
+        self._successors = refs
+        self._view = None
+
+    def set_finger(self, index: int, ref: _NodeRef) -> None:
+        self.fingers[index] = ref
+        self._view = None
+
+    def _routing_view(self) -> tuple[list[int], list[_NodeRef]]:
+        """Distinct fingers and successors by clockwise distance."""
+        view = self._view
+        if view is None:
+            me = self.ident
+            by_distance: dict[int, _NodeRef] = {}
+            for ref in self.fingers:
+                if ref is not None:
+                    by_distance.setdefault((ref.ident - me) % ID_SPACE, ref)
+            for ref in self._successors:
+                by_distance.setdefault((ref.ident - me) % ID_SPACE, ref)
+            by_distance.pop(0, None)  # self never precedes a target
+            distances = sorted(by_distance)
+            view = self._view = (
+                distances, [by_distance[d] for d in distances]
+            )
+        return view
 
     # ------------------------------------------------------------------
     # RPC plumbing
@@ -126,22 +167,20 @@ class ChordNode:
 
         *avoid* lists peers the router already found dead; entries the
         node itself can see are dead (failed ping) are skipped too.
+
+        The answer is the qualifying entry farthest clockwise from self
+        short of *ident*: bisect the routing view to *ident*'s distance
+        and walk back to the first live entry not in *avoid* (a target
+        equal to self's identifier bounds the whole ring).
         """
-        candidates: list[_NodeRef] = [
-            ref for ref in self.fingers if ref is not None
-        ]
-        candidates.extend(self.successors)
-        best = self.ref
-        for ref in candidates:
-            if ref.name in avoid:
-                continue
-            if ref != self.ref and not self.network.is_registered(ref.name):
-                continue
-            if ring_between(ref.ident, self.ident, ident) and ring_between(
-                ref.ident, best.ident, ident
-            ):
-                best = ref
-        return best
+        distances, refs = self._routing_view()
+        limit = (ident - self.ident) % ID_SPACE or ID_SPACE
+        is_registered = self.network.is_registered
+        for position in range(bisect.bisect_left(distances, limit) - 1, -1, -1):
+            ref = refs[position]
+            if ref.name not in avoid and is_registered(ref.name):
+                return ref
+        return self.ref
 
     # ------------------------------------------------------------------
     # Storage RPCs
@@ -194,7 +233,7 @@ class ChordNode:
             head = self.successors[0]
             if head == self.ref or self.network.is_registered(head.name):
                 return head
-            self.successors.pop(0)
+            self.successors = self.successors[1:]
         self.successors = [self.ref]
         return self.ref
 
@@ -210,7 +249,7 @@ class ChordNode:
             their_pred = self._call(successor, "get_predecessor")
         except RpcError:
             if self.successors:
-                self.successors.pop(0)
+                self.successors = self.successors[1:]
             return
         if (
             their_pred is not None
@@ -232,7 +271,7 @@ class ChordNode:
         index = self._next_finger
         self._next_finger = (self._next_finger + 1) % ID_BITS
         start = (self.ident + (1 << index)) % ID_SPACE
-        self.fingers[index] = find_successor(start)
+        self.set_finger(index, find_successor(start))
 
     def check_predecessor(self) -> None:
         """Clear the predecessor pointer when it stops answering."""
@@ -278,6 +317,9 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
             else None
         )
         self._nodes: dict[str, ChordNode] = {}
+        #: Name of the lexicographically first peer; ``None`` after any
+        #: membership change until :meth:`_gateway` recomputes it.
+        self._gateway_name: str | None = None
 
     def _new_store(self, name: str) -> PeerStore:
         backend = None
@@ -319,6 +361,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         Used after bulk construction; the incremental protocol
         (:meth:`join` + :meth:`stabilize_all`) reaches the same state.
         """
+        self._gateway_name = None
         refs = sorted(
             (node.ref for node in self._nodes.values()),
             key=lambda ref: ref.ident,
@@ -335,7 +378,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
             for index in range(ID_BITS):
                 start = (ref.ident + (1 << index)) % ID_SPACE
                 slot = bisect.bisect_left(by_ident, start) % count
-                node.fingers[index] = refs[slot]
+                node.set_finger(index, refs[slot])
 
     def join(self, name: str, gateway: str | None = None) -> None:
         """Run the Chord join protocol for a new peer called *name*."""
@@ -343,6 +386,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
             raise ReproError(f"peer {name!r} already in the ring")
         node = ChordNode(name, self.network, store=self._new_store(name))
         self._nodes[name] = node
+        self._gateway_name = None
         others = [n for n in self._nodes.values() if n.name != name]
         if not others:
             return
@@ -376,6 +420,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         node.store.wipe_backend()
         self.network.unregister(name)
         del self._nodes[name]
+        self._gateway_name = None
 
     def fail(self, name: str) -> None:
         """Abrupt crash: the peer and its in-memory data vanish.
@@ -389,6 +434,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         node.store.close_backend()
         self.network.unregister(name)
         del self._nodes[name]
+        self._gateway_name = None
 
     def _do_restart(self, name: str) -> None:
         """Recover a crashed peer from its durable log and rejoin.
@@ -417,6 +463,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         store = PeerStore.recover(backend, encoded=self.encoded_storage)
         node = ChordNode(name, self.network, store=store)
         self._nodes[name] = node
+        self._gateway_name = None
         stats = self.stats
         stats.restarts += 1
         stats.restart_replayed += len(store)
@@ -481,9 +528,12 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
     # ------------------------------------------------------------------
 
     def _gateway(self) -> ChordNode:
-        if not self._nodes:
-            raise ReproError("the ring has no peers")
-        return self._nodes[min(self._nodes)]
+        name = self._gateway_name
+        if name is None:
+            if not self._nodes:
+                raise ReproError("the ring has no peers")
+            name = self._gateway_name = min(self._nodes)
+        return self._nodes[name]
 
     def _rpc_insistent(self, src: str, dst: str, method: str, *args: Any):
         """RPC with bounded retries for *transient* message drops.

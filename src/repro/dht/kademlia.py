@@ -16,8 +16,8 @@ index-level cost counters do not change.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterator
+import bisect
+from collections.abc import Container, Iterator
 from typing import Any
 
 from repro.common.errors import DhtKeyError, ReproError
@@ -57,33 +57,35 @@ class KademliaNode:
         self.network = network
         self.store = store if store is not None else PeerStore()
         # buckets[i] holds contacts whose XOR distance has bit length i+1.
+        # Mutate them only through observe/retain, which keep _filled.
         self.buckets: list[list[tuple[int, str]]] = [
             [] for _ in range(ID_BITS)
         ]
+        #: Ascending indices of the non-empty buckets; ``None`` after a
+        #: membership change until :meth:`closest_contacts` rebuilds it.
+        self._filled: list[int] | None = None
         network.register(name, self)
 
     # ------------------------------------------------------------------
     # Routing table
     # ------------------------------------------------------------------
 
-    def _bucket_index(self, ident: int) -> int:
-        distance = xor_distance(self.ident, ident)
-        if distance == 0:
-            raise ReproError("a node never stores itself in a bucket")
-        return distance.bit_length() - 1
-
     def observe(self, ident: int, name: str) -> None:
         """Record a live contact (move-to-front, capacity k)."""
-        if ident == self.ident:
-            return
-        bucket = self.buckets[self._bucket_index(ident)]
+        distance = self.ident ^ ident
+        if distance == 0:
+            return  # a node never stores itself in a bucket
+        bucket = self.buckets[distance.bit_length() - 1]
         entry = (ident, name)
+        if bucket and bucket[-1] == entry:
+            return  # already the most recently seen
         if entry in bucket:
             bucket.remove(entry)
             bucket.append(entry)
             return
         if len(bucket) < BUCKET_SIZE:
             bucket.append(entry)
+            self._filled = None
             return
         # Ping the least-recently seen contact; evict it if dead.
         oldest_ident, oldest_name = bucket[0]
@@ -91,13 +93,49 @@ class KademliaNode:
             return  # keep old, drop new (Kademlia's anti-churn bias)
         bucket.pop(0)
         bucket.append(entry)
+        self._filled = None
+
+    def retain(self, live: Container[str]) -> None:
+        """Drop every contact whose name is not in *live*."""
+        for bucket in self.buckets:
+            bucket[:] = [pair for pair in bucket if pair[1] in live]
+        self._filled = None
 
     def closest_contacts(self, ident: int, count: int) -> list[tuple[int, str]]:
-        """The *count* known contacts closest to *ident* (self included)."""
-        contacts = [(self.ident, self.name)]
-        for bucket in self.buckets:
-            contacts.extend(bucket)
-        contacts.sort(key=lambda pair: xor_distance(pair[0], ident))
+        """The *count* known contacts closest to *ident* (self included).
+
+        With ``j`` the highest bit where self and *ident* differ, the
+        XOR distances fall into disjoint bands: bucket ``j`` is nearest
+        (below ``2**j``), then self together with every bucket below
+        ``j`` (in ``[2**j, 2**(j+1))``), then each bucket above ``j`` in
+        turn (bucket ``i`` in ``[2**i, 2**(i+1))``).  Sorting band by
+        band and stopping at *count* contacts gives the full sort's
+        prefix.
+        """
+        filled = self._filled
+        if filled is None:
+            filled = self._filled = [
+                index for index, bucket in enumerate(self.buckets) if bucket
+            ]
+        buckets = self.buckets
+        split = (self.ident ^ ident).bit_length() - 1
+
+        def distance(pair: tuple[int, str]) -> int:
+            return pair[0] ^ ident
+
+        below = bisect.bisect_left(filled, split)
+        above = bisect.bisect_right(filled, split)
+        contacts = sorted(buckets[split], key=distance) if above > below else []
+        if len(contacts) < count:
+            band = [(self.ident, self.name)]
+            for index in filled[:below]:
+                band.extend(buckets[index])
+            band.sort(key=distance)
+            contacts.extend(band)
+            for index in filled[above:]:
+                if len(contacts) >= count:
+                    break
+                contacts.extend(sorted(buckets[index], key=distance))
         return contacts[:count]
 
     # ------------------------------------------------------------------
@@ -150,6 +188,9 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
             else None
         )
         self._nodes: dict[str, KademliaNode] = {}
+        #: Name of the lexicographically first peer; ``None`` after any
+        #: membership change until :meth:`_gateway` recomputes it.
+        self._gateway_name: str | None = None
 
     def _new_store(self, name: str) -> PeerStore:
         backend = None
@@ -187,6 +228,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         self-lookup against a connected network; done directly so large
         rings construct quickly.
         """
+        self._gateway_name = None
         everyone = [(node.ident, node.name) for node in self._nodes.values()]
         for node in self._nodes.values():
             # Insert closest contacts first so full buckets keep the
@@ -202,6 +244,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
             raise ReproError(f"peer {name!r} already joined")
         node = KademliaNode(name, self.network, store=self._new_store(name))
         self._nodes[name] = node
+        self._gateway_name = None
         others = [n for n in self._nodes if n != name]
         if not others:
             return
@@ -241,6 +284,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         node.store.wipe_backend()
         self.network.unregister(name)
         del self._nodes[name]
+        self._gateway_name = None
 
     def fail(self, name: str) -> None:
         """Abrupt crash; durable state stays on disk for restart."""
@@ -250,6 +294,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         node.store.close_backend()
         self.network.unregister(name)
         del self._nodes[name]
+        self._gateway_name = None
 
     def _do_restart(self, name: str) -> None:
         """Recover a crashed peer: replay its durable log, rejoin the
@@ -268,6 +313,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         store = PeerStore.recover(backend, encoded=self.encoded_storage)
         node = KademliaNode(name, self.network, store=store)
         self._nodes[name] = node
+        self._gateway_name = None
         stats = self.stats
         stats.restarts += 1
         stats.restart_replayed += len(store)
@@ -325,10 +371,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         """
         for _ in range(rounds):
             for node in self._nodes.values():
-                for bucket in node.buckets:
-                    bucket[:] = [
-                        pair for pair in bucket if pair[1] in self._nodes
-                    ]
+                node.retain(self._nodes)
             self.bootstrap()
             for node in list(self._nodes.values()):
                 moved = node.store.pop_range(
@@ -382,15 +425,11 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
                 for l_ident, l_name in learned:
                     if l_ident != start.ident:
                         start.observe(l_ident, l_name)
-                merged = {pair for pair in shortlist}
-                merged.update(
-                    (l_ident, l_name) for l_ident, l_name in learned
-                )
-                new_shortlist = heapq.nsmallest(
-                    BUCKET_SIZE,
-                    merged,
-                    key=lambda pair: xor_distance(pair[0], target),
-                )
+                merged = set(shortlist)
+                merged.update(learned)
+                new_shortlist = sorted(
+                    merged, key=lambda pair: pair[0] ^ target
+                )[:BUCKET_SIZE]
                 if new_shortlist != shortlist:
                     improved = True
                 shortlist = new_shortlist
@@ -427,9 +466,12 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
     # ------------------------------------------------------------------
 
     def _gateway(self) -> KademliaNode:
-        if not self._nodes:
-            raise ReproError("the overlay has no peers")
-        return self._nodes[min(self._nodes)]
+        name = self._gateway_name
+        if name is None:
+            if not self._nodes:
+                raise ReproError("the overlay has no peers")
+            name = self._gateway_name = min(self._nodes)
+        return self._nodes[name]
 
     def _owner(self, key: str) -> KademliaNode:
         digest = key_digest(key)

@@ -42,20 +42,18 @@ N_DIGITS = ID_BITS // DIGIT_BITS
 LEAF_SET_SIDE = 4
 
 
-def digits_of(ident: int) -> tuple[int, ...]:
-    """The identifier as big-endian base-16 digits."""
-    return tuple(
-        ident >> (ID_BITS - DIGIT_BITS * (position + 1)) & (2**DIGIT_BITS - 1)
-        for position in range(N_DIGITS)
+def shared_digits(a: int, b: int) -> int:
+    """Number of leading base-16 digits identifiers *a* and *b* share
+    (``N_DIGITS`` when equal): the routing-table row *b* belongs in at
+    a node whose identifier is *a*."""
+    return (ID_BITS - (a ^ b).bit_length()) // DIGIT_BITS
+
+
+def digit_at(ident: int, position: int) -> int:
+    """Digit *position* (0 = most significant) of *ident*."""
+    return ident >> (ID_BITS - DIGIT_BITS * (position + 1)) & (
+        2**DIGIT_BITS - 1
     )
-
-
-def shared_prefix_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Number of leading digits *a* and *b* share."""
-    for position, (da, db) in enumerate(zip(a, b)):
-        if da != db:
-            return position
-    return len(a)
 
 
 def numeric_distance(a: int, b: int) -> int:
@@ -75,7 +73,6 @@ class PastryNode:
     ) -> None:
         self.name = name
         self.ident = node_id_from_name(name)
-        self.digits = digits_of(self.ident)
         self.network = network
         self.store = store if store is not None else PeerStore()
         # routing_table[row][column] -> (ident, name) | None
@@ -93,9 +90,9 @@ class PastryNode:
         """Insert a contact into the routing table and leaf set."""
         if ident == self.ident:
             return
-        row = shared_prefix_length(self.digits, digits_of(ident))
+        row = shared_digits(self.ident, ident)
         if row < N_DIGITS:
-            column = digits_of(ident)[row]
+            column = digit_at(ident, row)
             slot = self.routing_table[row][column]
             if slot is None or not self.network.is_registered(slot[1]):
                 self.routing_table[row][column] = (ident, name)
@@ -150,10 +147,9 @@ class PastryNode:
                     live_leaves + [(self.ident, self.name)],
                     key=lambda pair: numeric_distance(pair[0], ident),
                 )
-        target_digits = digits_of(ident)
-        row = shared_prefix_length(self.digits, target_digits)
+        row = shared_digits(self.ident, ident)
         if row < N_DIGITS:
-            slot = self.routing_table[row][target_digits[row]]
+            slot = self.routing_table[row][digit_at(ident, row)]
             if slot is not None and self.network.is_registered(slot[1]):
                 return slot
         # Fall back to a numerically closer contact whose shared prefix
@@ -166,10 +162,7 @@ class PastryNode:
         for contact_ident, contact_name in self._all_contacts():
             if not self.network.is_registered(contact_name):
                 continue
-            if (
-                shared_prefix_length(digits_of(contact_ident), target_digits)
-                < row
-            ):
+            if shared_digits(contact_ident, ident) < row:
                 continue
             distance = numeric_distance(contact_ident, ident)
             if distance < best_distance:
@@ -232,6 +225,9 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
             else None
         )
         self._nodes: dict[str, PastryNode] = {}
+        #: Name of the lexicographically first peer; ``None`` after any
+        #: membership change until :meth:`_gateway` recomputes it.
+        self._gateway_name: str | None = None
 
     def _new_store(self, name: str) -> PeerStore:
         backend = None
@@ -272,6 +268,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
             raise ReproError(f"peer {name!r} already joined")
         node = PastryNode(name, self.network, store=self._new_store(name))
         self._nodes[name] = node
+        self._gateway_name = None
         others = [n for n in self._nodes if n != name]
         if not others:
             return
@@ -281,7 +278,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         closest_name = self._route_from(gateway_node, node.ident)
         # Copy state from the nodes along the way (simplified: gateway
         # plus the closest node, which covers rows 0 and the leaf set).
-        for source in {gateway_name, closest_name}:
+        for source in dict.fromkeys((gateway_name, closest_name)):
             contacts = self.network.rpc(name, source, "get_state")
             for ident, contact in contacts:
                 node.learn(ident, contact)
@@ -320,6 +317,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         node.store.wipe_backend()
         self.network.unregister(name)
         del self._nodes[name]
+        self._gateway_name = None
         for survivor in self._nodes.values():
             survivor.forget(name)
 
@@ -376,6 +374,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         node.store.close_backend()
         self.network.unregister(name)
         del self._nodes[name]
+        self._gateway_name = None
         for survivor in self._nodes.values():
             survivor.forget(name)
 
@@ -396,6 +395,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         store = PeerStore.recover(backend, encoded=self.encoded_storage)
         node = PastryNode(name, self.network, store=store)
         self._nodes[name] = node
+        self._gateway_name = None
         stats = self.stats
         stats.restarts += 1
         stats.restart_replayed += len(store)
@@ -405,7 +405,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         gateway_node = self._nodes[min(others)]
         node.learn(gateway_node.ident, gateway_node.name)
         closest_name = self._route_from(gateway_node, node.ident)
-        for source in {gateway_node.name, closest_name}:
+        for source in dict.fromkeys((gateway_node.name, closest_name)):
             contacts = self.network.rpc(name, source, "get_state")
             for ident, contact in contacts:
                 node.learn(ident, contact)
@@ -456,9 +456,12 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
     # ------------------------------------------------------------------
 
     def _gateway(self) -> PastryNode:
-        if not self._nodes:
-            raise ReproError("the overlay has no peers")
-        return self._nodes[min(self._nodes)]
+        name = self._gateway_name
+        if name is None:
+            if not self._nodes:
+                raise ReproError("the overlay has no peers")
+            name = self._gateway_name = min(self._nodes)
+        return self._nodes[name]
 
     def _route_from(self, start: PastryNode, ident: int) -> str:
         """Iterative prefix routing; meters overlay hops.
@@ -468,10 +471,9 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         numerically closest node.
         """
         current = (start.ident, start.name)
+        gateway = self._gateway().name
         for _ in range(N_DIGITS + 2 * LEAF_SET_SIDE + 8):
-            nxt = self.network.rpc(
-                self._gateway().name, current[1], "next_hop", ident
-            )
+            nxt = self.network.rpc(gateway, current[1], "next_hop", ident)
             if nxt[1] == current[1]:
                 return current[1]
             self.stats.hops += 1

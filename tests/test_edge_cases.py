@@ -73,7 +73,7 @@ class TestKademliaEviction:
         while len(same_bucket) < BUCKET_SIZE + 1:
             other = KademliaNode(f"kad-cand-{index}", net)
             index += 1
-            bucket_index = node._bucket_index(other.ident)
+            bucket_index = (node.ident ^ other.ident).bit_length() - 1
             if target_bucket is None:
                 target_bucket = bucket_index
             if bucket_index == target_bucket:

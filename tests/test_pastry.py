@@ -7,29 +7,38 @@ from repro.dht.hashing import key_digest
 from repro.dht.pastry import (
     N_DIGITS,
     PastryDht,
-    digits_of,
+    digit_at,
     numeric_distance,
-    shared_prefix_length,
+    shared_digits,
 )
 
 
 class TestDigits:
     def test_digit_count_and_range(self):
-        digits = digits_of(key_digest("x"))
-        assert len(digits) == N_DIGITS
-        assert all(0 <= digit < 16 for digit in digits)
+        ident = key_digest("x")
+        assert shared_digits(ident, ident) == N_DIGITS
+        assert all(0 <= digit_at(ident, row) < 16 for row in range(N_DIGITS))
 
     def test_roundtrip(self):
         ident = key_digest("roundtrip")
         rebuilt = 0
-        for digit in digits_of(ident):
-            rebuilt = (rebuilt << 4) | digit
+        for row in range(N_DIGITS):
+            rebuilt = (rebuilt << 4) | digit_at(ident, row)
         assert rebuilt == ident
 
     def test_shared_prefix(self):
-        assert shared_prefix_length((1, 2, 3), (1, 2, 4)) == 2
-        assert shared_prefix_length((1,), (2,)) == 0
-        assert shared_prefix_length((1, 2), (1, 2)) == 2
+        def ident(*digits):
+            return sum(
+                digit << (4 * (N_DIGITS - 1 - row))
+                for row, digit in enumerate(digits)
+            )
+
+        assert shared_digits(ident(1, 2, 3), ident(1, 2, 4)) == 2
+        assert shared_digits(ident(1), ident(2)) == 0
+        assert shared_digits(ident(1, 2), ident(1, 2)) == N_DIGITS
+        # The first differing bit decides, wherever it sits in a digit.
+        assert shared_digits(ident(1, 8), ident(1, 0)) == 1
+        assert shared_digits(ident(1, 0, 1), ident(1, 0, 0)) == 2
 
 
 class TestRouting:
